@@ -255,8 +255,10 @@ func TestOverloadSoak(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	// Steps first: an Overload step's Burst adds to wg, and an Add after
+	// Wait returned would leave burst submits running past verify.
 	<-stepDone
+	wg.Wait()
 
 	if err := in.Quiesce(60 * time.Second); err != nil {
 		t.Fatal(err)
@@ -381,8 +383,10 @@ func overloadPropertyRun(t *testing.T, seed int64) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	// Steps first: an Overload step's Burst adds to wg, and an Add after
+	// Wait returned would leave burst submits running past verify.
 	<-stepDone
+	wg.Wait()
 
 	if err := in.Quiesce(60 * time.Second); err != nil {
 		t.Fatal(err)

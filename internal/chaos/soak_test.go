@@ -239,6 +239,11 @@ func soakRun(t *testing.T, tcp bool) {
 	}
 	mirror(final)
 	batches++
+	// QuorumSubmit acks on a majority: wait for the laggard before comparing
+	// all three states.
+	if err := c.WaitCaughtUp(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// Convergence: all replicas identical, and identical to the reference.
 	if !c.Converged() {

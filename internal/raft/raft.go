@@ -210,7 +210,12 @@ type Node struct {
 	votes       map[string]bool
 	nextIndex   map[string]uint64
 	matchIndex  map[string]uint64
-	leaderHint  string
+	// commitSent is, per peer, the highest index the leader has told it
+	// is committed AND that the same message lets it commit:
+	// min(LeaderCommit, PrevLogIndex+len(Entries)). pushCommitLocked sends
+	// an entry-less AppendEntries whenever the peer could commit more.
+	commitSent map[string]uint64
+	leaderHint string
 
 	// Chunked snapshot transfer state. Leader side: xfers holds, per peer
 	// mid-transfer, the offset of the outstanding (unacked) chunk — the
@@ -263,9 +268,10 @@ func NewNodeWithTransport(id string, peers []string, tr Transport, cfg Config, s
 		ep: tr, clk: vclock.Or(cfg.Clock), seed: seed,
 		role: Follower, votes: map[string]bool{},
 		nextIndex: map[string]uint64{}, matchIndex: map[string]uint64{},
-		xfers:   map[string]uint64{},
-		applyCh: make(chan Committed, 4096),
-		stopCh:  make(chan struct{}),
+		commitSent: map[string]uint64{},
+		xfers:      map[string]uint64{},
+		applyCh:    make(chan Committed, 4096),
+		stopCh:     make(chan struct{}),
 	}
 }
 
@@ -598,6 +604,7 @@ func (n *Node) becomeLeaderLocked() {
 	for _, p := range n.peers {
 		n.nextIndex[p] = lastIdx + 1
 		n.matchIndex[p] = 0
+		n.commitSent[p] = 0
 	}
 	n.matchIndex[n.id] = lastIdx
 	n.broadcastAppendLocked()
@@ -656,6 +663,29 @@ func (n *Node) sendAppendLocked(peer string) {
 		PrevLogIndex: prevIdx, PrevLogTerm: prevTerm,
 		Entries: entries, LeaderCommit: n.commitIndex,
 	})
+	if c := min(n.commitIndex, prevIdx+uint64(len(entries))); c > n.commitSent[peer] {
+		n.commitSent[peer] = c
+	}
+}
+
+// pushCommitLocked tells peer at once about commit progress it can use: if
+// the commit index covers entries the peer has confirmed (matchIndex) that
+// no earlier message let it commit, send an entry-less AppendEntries
+// anchored at its match point. Nothing is re-sent; without this the peer
+// would learn the commit index only on the next heartbeat.
+func (n *Node) pushCommitLocked(peer string) {
+	match := n.matchIndex[peer]
+	if min(n.commitIndex, match) <= n.commitSent[peer] || match < n.snap.Index {
+		// Nothing new to tell, or the match point was compacted away (the
+		// heartbeat's snapshot/append path catches the peer up).
+		return
+	}
+	n.ep.Send(peer, AppendEntries{
+		Term: n.term, Leader: n.id,
+		PrevLogIndex: match, PrevLogTerm: n.termAtLocked(match),
+		LeaderCommit: n.commitIndex,
+	})
+	n.commitSent[peer] = min(n.commitIndex, match)
 }
 
 func (n *Node) handle(msg memnet.Message) {
@@ -783,12 +813,13 @@ func (n *Node) onAppendEntries(from string, rpc AppendEntries) {
 			return
 		}
 	}
+	// Commit only what this message proved matches the leader's log (Raft
+	// Fig. 2: min(LeaderCommit, index of last new entry)). Entries past
+	// match may be a stale suffix from an older term that the leader has not
+	// overwritten yet — a short or entry-less AppendEntries says nothing
+	// about them.
 	match := rpc.PrevLogIndex + uint64(len(rpc.Entries))
-	if rpc.LeaderCommit > n.commitIndex {
-		lim := rpc.LeaderCommit
-		if last := n.lastIndexLocked(); lim > last {
-			lim = last
-		}
+	if lim := min(rpc.LeaderCommit, match); lim > n.commitIndex {
 		n.commitToLocked(lim)
 	}
 	n.ep.Send(from, AppendReply{Term: n.term, Success: true, MatchIndex: match})
@@ -996,6 +1027,7 @@ func (n *Node) onAppendReply(from string, rpc AppendReply) {
 		}
 		n.nextIndex[from] = n.matchIndex[from] + 1
 		n.advanceCommitLocked()
+		n.pushCommitLocked(from)
 		return
 	}
 	// Follower rejected: back up and retry.
@@ -1026,6 +1058,9 @@ func (n *Node) advanceCommitLocked() {
 	if majority > n.commitIndex && majority <= n.lastIndexLocked() &&
 		n.termAtLocked(majority) == n.term {
 		n.commitToLocked(majority)
+		for _, p := range n.peers {
+			n.pushCommitLocked(p)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -76,6 +77,11 @@ type Replica struct {
 	// applyDelay throttles the apply loop (nanoseconds per batch) — the
 	// chaos slow-apply fault: a replica that falls behind without crashing.
 	applyDelay atomic.Int64
+
+	// applied, when non-nil, is raised on every change to the applied set
+	// (executed batch, dedup skip, snapshot install). A Cluster shares one
+	// signal across its replicas so submitters wake on apply.
+	applied *applySignal
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -144,23 +150,14 @@ func (r *Replica) Resume(rep RecoveryReport) {
 	}
 }
 
-// applyPollInterval is the simulated-clock apply loop's drain cadence in
-// virtual time. Records on the apply channel carry no event tokens (see
-// raft.Node.deliverLocked), so under a simulated clock the loop polls:
-// consumption is scheduled by timers and a throttled (SetApplyDelay)
-// straggler's backlog cannot freeze virtual time.
-const applyPollInterval = 200 * time.Microsecond
-
-// Start launches the apply loop consuming committed entries.
+// Start launches the apply loop consuming committed entries: a blocking
+// receive on the wall clock, a cooperative actor under a scheduled simulated
+// clock. A simulated clock without a scheduler is not supported (see
+// NewCluster).
 func (r *Replica) Start(applyCh <-chan raft.Committed, onError func(error)) {
 	r.wg.Add(1)
 	if vclock.Scheduled(r.clk) {
 		vclock.GoNamed(r.clk, "apply:"+r.ID, func() { r.runSchedApply(applyCh, onError) })
-		return
-	}
-	if vclock.IsSim(r.clk) {
-		vclock.Hold(r.clk) // run token, transferred to the loop goroutine
-		go r.runSimApply(applyCh, onError)
 		return
 	}
 	go r.runWallApply(applyCh, onError)
@@ -185,10 +182,6 @@ func (r *Replica) runWallApply(applyCh <-chan raft.Committed, onError func(error
 	}
 }
 
-// runSimApply drains the apply channel on a virtual-time poll tick. Between
-// ticks the goroutine parks, so all pending timers (including this loop's
-// own tick) can fire; stop is honored immediately even while parked, which
-// keeps crash-stop independent of virtual time advancing.
 // runSchedApply drains the apply channel under the cooperative scheduler:
 // one committed record per iteration (each apply is followed by a Yield so
 // the picker controls interleaving), parking idle when the channel is
@@ -215,44 +208,6 @@ func (r *Replica) runSchedApply(applyCh <-chan raft.Committed, onError func(erro
 			vclock.Yield(r.clk)
 		default:
 			vclock.Idle(r.clk)
-		}
-	}
-}
-
-func (r *Replica) runSimApply(applyCh <-chan raft.Committed, onError func(error)) {
-	defer r.wg.Done()
-	defer r.runDone.Store(true)
-	defer vclock.Release(r.clk)
-	for {
-		for {
-			select {
-			case <-r.stopCh:
-				return
-			case c := <-applyCh:
-				if err := r.applyOne(c); err != nil {
-					if onError != nil {
-						onError(err)
-					}
-					return
-				}
-				continue
-			default:
-			}
-			break
-		}
-		// The poll timer is armed ONLY while parked: applyOne may sleep in
-		// virtual time (SetApplyDelay), and an armed timer firing unread
-		// during that sleep would hold its fire token and freeze the clock.
-		tm := r.clk.NewTimer(applyPollInterval)
-		vclock.Park(r.clk)
-		select {
-		case <-r.stopCh:
-			vclock.Wake(r.clk)
-			tm.Stop()
-			return
-		case <-tm.C():
-			vclock.Wake(r.clk)
-			vclock.Ack(r.clk) // retire the tick's fire token
 		}
 	}
 }
@@ -300,6 +255,7 @@ func (r *Replica) applyOne(c raft.Committed) error {
 			r.lastApplied = c.Index
 			r.pruneDedupLocked()
 			r.mu.Unlock()
+			r.applied.raise()
 			return nil
 		}
 	}
@@ -321,38 +277,42 @@ func (r *Replica) applyOne(c raft.Committed) error {
 		r.onApply(c.Index, b.ID, b.Requests, res)
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.lastApplied = c.Index
 	r.batches++
 	if b.ID != "" {
 		r.appliedIDs[b.ID] = c.Index
 	}
 	r.pruneDedupLocked()
+	var snap *StoreSnapshot
 	if r.snapCfg.Every > 0 && r.lastApplied >= r.lastSnap+r.snapCfg.Every {
-		if err := r.snapshotLocked(); err != nil {
+		snap = &StoreSnapshot{
+			Index:      r.lastApplied,
+			Batches:    r.batches,
+			Watermark:  r.dedupWM,
+			AppliedIDs: maps.Clone(r.appliedIDs),
+		}
+	}
+	r.mu.Unlock()
+	// The batch is applied and logged: waiters may acknowledge it now. The
+	// snapshot below only compacts what recovery would otherwise replay.
+	r.applied.raise()
+	if snap != nil {
+		if err := r.snapshot(snap); err != nil {
 			return fmt.Errorf("replica %s: snapshot at %d: %w", r.ID, c.Index, err)
 		}
 	}
 	return nil
 }
 
-// snapshotLocked captures the store at the current apply position, persists
-// the snapshot, drops the now-redundant WAL prefix, and hands the snapshot
-// to the consensus layer for log compaction. Called from the apply loop, so
-// the store is quiescent. The raft Compact call runs on its own goroutine:
-// raft delivers committed entries while holding its lock, so calling back
-// into it synchronously from the apply loop could deadlock on a full apply
-// channel.
-func (r *Replica) snapshotLocked() error {
-	snap := &StoreSnapshot{
-		Index:      r.lastApplied,
-		Batches:    r.batches,
-		Watermark:  r.dedupWM,
-		AppliedIDs: make(map[string]uint64, len(r.appliedIDs)),
-	}
-	for id, idx := range r.appliedIDs {
-		snap.AppliedIDs[id] = idx
-	}
+// snapshot captures the store into snap (whose metadata the caller copied
+// at the apply position it reflects), persists it, drops the now-redundant
+// WAL prefix, and hands it to the consensus layer for log compaction.
+// Called from the apply loop, the store's only writer, so the store is
+// quiescent without holding r.mu — SubmitBatch can read the applied set
+// meanwhile. The raft Compact call runs on its own goroutine: raft delivers
+// committed entries while holding its lock, so calling back into it
+// synchronously from the apply loop could deadlock on a full apply channel.
+func (r *Replica) snapshot(snap *StoreSnapshot) error {
 	snap.Pairs = CaptureStore(r.st)
 	encoded, err := EncodeSnapshot(snap)
 	if err != nil {
@@ -373,8 +333,10 @@ func (r *Replica) snapshotLocked() error {
 			}
 		}
 	}
+	r.mu.Lock()
 	r.lastSnap = snap.Index
 	r.snapTaken++
+	r.mu.Unlock()
 	if compact := r.snapCfg.Compact; compact != nil {
 		idx := snap.Index
 		// Under the cooperative scheduler this spawns a (short-lived) actor,
@@ -402,6 +364,7 @@ func (r *Replica) installSnapshot(c raft.Committed) error {
 		return fmt.Errorf("replica %s: install snapshot at %d: %w", r.ID, c.Index, err)
 	}
 	RestoreStore(r.st, snap)
+	defer r.applied.raise()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.snapCfg.Dir != "" {
@@ -674,6 +637,10 @@ type Cluster struct {
 	tcpDir   *tcpnet.Directory
 
 	flow *flowctl.Controller
+	// applied is raised by every replica's apply loop, and by Crash and
+	// apply errors (both can settle a wait): SubmitBatch and WaitCaughtUp
+	// block on it.
+	applied *applySignal
 
 	mu          sync.Mutex
 	down        []bool
@@ -788,6 +755,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.TCP && vclock.IsSim(cfg.Clock) {
 		return nil, fmt.Errorf("replica: simulated clock is not supported over TCP (real sockets need real time)")
 	}
+	if vclock.IsSim(cfg.Clock) && !vclock.Scheduled(cfg.Clock) {
+		return nil, fmt.Errorf("replica: a simulated clock needs the cooperative scheduler (create the cluster inside sched.Run)")
+	}
 	clk := vclock.Or(cfg.Clock)
 	if cfg.Flow.Clock == nil {
 		cfg.Flow.Clock = clk
@@ -804,6 +774,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		// them — are identical across same-seed runs.
 		idPrefix: fmt.Sprintf("%x", clk.Now().UnixNano()),
 		flow:     flowctl.NewController(cfg.Flow),
+		applied:  newApplySignal(clk),
 		floors:   map[string]*submitFloor{},
 	}
 	n := cfg.Replicas
@@ -904,6 +875,7 @@ func (c *Cluster) startNode(i int) error {
 	}
 	rep := New(id, exec, st, wlog)
 	rep.SetClock(c.clk)
+	rep.applied = c.applied
 	if onApply := c.cfg.OnApply; onApply != nil {
 		rep.OnApply(func(index uint64, batchID string, reqs []engine.Request, res *engine.BatchResult) {
 			onApply(id, index, batchID, reqs, res)
@@ -1074,6 +1046,7 @@ func (c *Cluster) Crash(i int) error {
 	if storage != nil {
 		_ = storage.Close()
 	}
+	c.applied.raise() // a submit waiting on this replica may now be done
 	return nil
 }
 
@@ -1112,10 +1085,11 @@ func (c *Cluster) Restart(i int) error {
 
 func (c *Cluster) recordErr(err error) {
 	c.errMu.Lock()
-	defer c.errMu.Unlock()
 	if c.err == nil {
 		c.err = err
 	}
+	c.errMu.Unlock()
+	c.applied.raise() // waiters report the error instead of timing out
 }
 
 // Err returns the first replica apply error, if any.
@@ -1279,8 +1253,9 @@ type Request = struct {
 // The ClusterConfig.Flow policy gates the whole call: admission (inflight
 // limit, rate bucket, circuit breaker) may shed it with an error wrapping
 // flowctl.ErrOverload — shed batches were certainly never proposed or
-// applied — and each re-proposal spends the retry budget. Every wait runs on
-// seeded jittered backoff under the caller's deadline.
+// applied — and each re-proposal spends the retry budget. Leader routing
+// retries on seeded jittered backoff; the apply wait wakes on every replica
+// apply. No wait runs past the caller's deadline.
 func (c *Cluster) SubmitBatch(reqs []Request, within time.Duration) error {
 	return c.SubmitBatchDeadline(reqs, flowctl.AfterClock(c.clk, within))
 }
@@ -1338,9 +1313,9 @@ func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error
 		c.flow.RecordRouteSuccess()
 		proposed = true
 		c.noteProposed(id, idx)
-		bo.Reset() // apply-wait polls restart from the small first steps
 		wdl := dl.Bound(c.cfg.SubmitWindow)
 		for {
+			applied := c.applied.next()
 			if err := c.Err(); err != nil {
 				c.finishSubmit(id, proposed)
 				return err
@@ -1350,7 +1325,7 @@ func (c *Cluster) SubmitBatchDeadline(reqs []Request, dl flowctl.Deadline) error
 				c.ackCommit(li, id)
 				return nil
 			}
-			if bo.Sleep(wdl) != nil {
+			if !c.applied.wait(applied, wdl) {
 				break // attempt window over: re-route, or fail at the deadline
 			}
 		}
@@ -1488,12 +1463,13 @@ func (c *Cluster) appliedBatch(id string) bool {
 }
 
 // WaitCaughtUp blocks until every live replica has applied at least the
-// leader's current commit index (and a leader exists). After a Restart and a
-// Heal, this is the quiesce point where all state hashes must agree.
+// leader's current commit index (and a leader exists), re-checking whenever
+// a replica applies. After a Restart and a Heal, this is the quiesce point
+// where all state hashes must agree.
 func (c *Cluster) WaitCaughtUp(within time.Duration) error {
 	dl := flowctl.AfterClock(c.clk, within)
-	bo := c.flow.NewBackoff()
 	for {
+		applied := c.applied.next()
 		if err := c.Err(); err != nil {
 			return err
 		}
@@ -1515,8 +1491,9 @@ func (c *Cluster) WaitCaughtUp(within time.Duration) error {
 		if done {
 			return nil
 		}
-		if err := bo.Sleep(dl); err != nil {
-			return fmt.Errorf("replica: not caught up to index %d within %v: %w", target, within, err)
+		if !c.applied.wait(applied, dl) {
+			return fmt.Errorf("replica: not caught up to index %d within %v: %w",
+				target, within, flowctl.ErrDeadlineExceeded)
 		}
 	}
 }

@@ -2,11 +2,13 @@ package replica
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,23 +25,23 @@ import (
 // shipped verbatim inside InstallSnapshot to far-behind followers.
 type StoreSnapshot struct {
 	// Index is the raft index of the last batch reflected in Pairs.
-	Index uint64 `json:"index"`
+	Index uint64
 	// Batches is the replica's batch count at capture.
-	Batches int `json:"batches"`
+	Batches int
 	// Watermark is the dedup low-water mark at capture: IDs first applied
 	// at indices <= Watermark have been acknowledged and pruned.
-	Watermark uint64 `json:"watermark"`
+	Watermark uint64
 	// AppliedIDs are the surviving (unpruned) dedup entries.
-	AppliedIDs map[string]uint64 `json:"appliedIDs,omitempty"`
+	AppliedIDs map[string]uint64
 	// Pairs is the live state, sorted by key so the encoding — and hence
 	// the bytes raft replicates — is identical on every replica.
-	Pairs []SnapPair `json:"pairs"`
+	Pairs []SnapPair
 }
 
 // SnapPair is one live key/value pair.
 type SnapPair struct {
-	Key value.Encoded `json:"k"`
-	Val value.Value   `json:"v"`
+	Key value.Encoded
+	Val value.Value
 }
 
 var snapCRC = crc32.MakeTable(crc32.Castagnoli)
@@ -49,21 +51,66 @@ var snapCRC = crc32.MakeTable(crc32.Castagnoli)
 // snapshot files are detected, not half-restored.
 const snapHeader = 8
 
-// EncodeSnapshot serializes s with a CRC frame. Pairs are sorted in place.
+// snapFormat is the first payload byte, naming the payload layout:
+//
+//	format byte, uvarint Index, uvarint Batches, uvarint Watermark,
+//	uvarint #IDs, then per ID in ascending order: string ID, uvarint index,
+//	uvarint #pairs, then per pair in ascending key order: string key,
+//	value.AppendBinary value
+//
+// where a string is a uvarint length and the bytes. Everything is sorted,
+// so replicas holding equal state produce byte-identical snapshots.
+const snapFormat = 1
+
+// EncodeSnapshot serializes s with a CRC frame into a buffer sized exactly.
+// Pairs are sorted in place.
 func EncodeSnapshot(s *StoreSnapshot) ([]byte, error) {
-	sort.Slice(s.Pairs, func(i, j int) bool { return s.Pairs[i].Key < s.Pairs[j].Key })
-	payload, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("replica: encode snapshot: %w", err)
+	if s.Batches < 0 {
+		return nil, fmt.Errorf("replica: encode snapshot: negative batch count %d", s.Batches)
 	}
-	out := make([]byte, snapHeader+len(payload))
+	slices.SortFunc(s.Pairs, func(a, b SnapPair) int { return strings.Compare(string(a.Key), string(b.Key)) })
+	ids := make([]string, 0, len(s.AppliedIDs))
+	for id := range s.AppliedIDs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+
+	size := 1 + value.UvarintSize(s.Index) + value.UvarintSize(uint64(s.Batches)) +
+		value.UvarintSize(s.Watermark) + value.UvarintSize(uint64(len(ids)))
+	for _, id := range ids {
+		size += value.StringSize(id) + value.UvarintSize(s.AppliedIDs[id])
+	}
+	size += value.UvarintSize(uint64(len(s.Pairs)))
+	for _, p := range s.Pairs {
+		size += value.StringSize(string(p.Key)) + value.BinarySize(p.Val)
+	}
+	if uint64(size) > math.MaxUint32 {
+		return nil, fmt.Errorf("replica: encode snapshot: %d bytes exceeds the frame limit", size)
+	}
+
+	out := make([]byte, snapHeader, snapHeader+size)
+	out = append(out, snapFormat)
+	out = binary.AppendUvarint(out, s.Index)
+	out = binary.AppendUvarint(out, uint64(s.Batches))
+	out = binary.AppendUvarint(out, s.Watermark)
+	out = binary.AppendUvarint(out, uint64(len(ids)))
+	for _, id := range ids {
+		out = value.AppendString(out, id)
+		out = binary.AppendUvarint(out, s.AppliedIDs[id])
+	}
+	out = binary.AppendUvarint(out, uint64(len(s.Pairs)))
+	for _, p := range s.Pairs {
+		out = value.AppendString(out, string(p.Key))
+		out = value.AppendBinary(out, p.Val)
+	}
+	payload := out[snapHeader:]
 	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, snapCRC))
-	copy(out[snapHeader:], payload)
 	return out, nil
 }
 
-// DecodeSnapshot parses an encoded snapshot, verifying the CRC frame.
+// DecodeSnapshot parses an encoded snapshot, verifying the CRC frame and
+// that the payload is well formed: canonical order, no trailing bytes.
 func DecodeSnapshot(data []byte) (*StoreSnapshot, error) {
 	if len(data) < snapHeader {
 		return nil, fmt.Errorf("replica: snapshot too short (%d bytes)", len(data))
@@ -76,9 +123,74 @@ func DecodeSnapshot(data []byte) (*StoreSnapshot, error) {
 	if crc32.Checksum(payload, snapCRC) != binary.LittleEndian.Uint32(data[4:8]) {
 		return nil, fmt.Errorf("replica: snapshot CRC mismatch")
 	}
-	var s StoreSnapshot
-	if err := json.Unmarshal(payload, &s); err != nil {
+	s, err := decodeSnapshotPayload(payload)
+	if err != nil {
 		return nil, fmt.Errorf("replica: decode snapshot: %w", err)
+	}
+	return s, nil
+}
+
+func decodeSnapshotPayload(b []byte) (*StoreSnapshot, error) {
+	if len(b) == 0 || b[0] != snapFormat {
+		return nil, errors.New("unknown snapshot format")
+	}
+	b = b[1:]
+	var s StoreSnapshot
+	var batches, count uint64
+	var err error
+	for _, f := range []*uint64{&s.Index, &batches, &s.Watermark, &count} {
+		if *f, b, err = value.ReadUvarint(b); err != nil {
+			return nil, err
+		}
+	}
+	if batches > math.MaxInt {
+		return nil, errors.New("batch count out of range")
+	}
+	s.Batches = int(batches)
+	// Every ID and pair takes at least two bytes: a bound on the counts
+	// that keeps a corrupt count from driving a huge allocation.
+	if count > uint64(len(b)/2) {
+		return nil, errors.New("dedup entry count exceeds payload")
+	}
+	if count > 0 {
+		s.AppliedIDs = make(map[string]uint64, count)
+	}
+	prev := ""
+	for i := uint64(0); i < count; i++ {
+		var id string
+		if id, b, err = value.ReadString(b); err != nil {
+			return nil, err
+		}
+		if i > 0 && id <= prev {
+			return nil, errors.New("dedup IDs not in ascending order")
+		}
+		prev = id
+		if s.AppliedIDs[id], b, err = value.ReadUvarint(b); err != nil {
+			return nil, err
+		}
+	}
+	if count, b, err = value.ReadUvarint(b); err != nil {
+		return nil, err
+	}
+	if count > uint64(len(b)/2) {
+		return nil, errors.New("pair count exceeds payload")
+	}
+	s.Pairs = make([]SnapPair, count)
+	for i := range s.Pairs {
+		var key string
+		if key, b, err = value.ReadString(b); err != nil {
+			return nil, err
+		}
+		if i > 0 && key <= string(s.Pairs[i-1].Key) {
+			return nil, errors.New("pairs not in ascending key order")
+		}
+		s.Pairs[i].Key = value.Encoded(key)
+		if s.Pairs[i].Val, b, err = value.ReadBinary(b); err != nil {
+			return nil, err
+		}
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
 	}
 	return &s, nil
 }
@@ -86,7 +198,7 @@ func DecodeSnapshot(data []byte) (*StoreSnapshot, error) {
 // CaptureStore flattens the store's live state at its current epoch into
 // snapshot pairs.
 func CaptureStore(st *store.Store) []SnapPair {
-	var pairs []SnapPair
+	pairs := make([]SnapPair, 0, st.Len())
 	st.ForEach(st.Epoch(), func(k value.Encoded, v value.Value) {
 		pairs = append(pairs, SnapPair{Key: k, Val: v})
 	})
